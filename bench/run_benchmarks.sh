@@ -20,7 +20,9 @@ if [[ "${1:-}" == "--smoke" ]]; then
   SMOKE=1
 fi
 
-CMAKE_ARGS=(-DCMAKE_BUILD_TYPE=Release)
+# Recorded as machine.build_type in every distilled file.
+BUILD_TYPE=Release
+CMAKE_ARGS=(-DCMAKE_BUILD_TYPE="$BUILD_TYPE")
 if command -v ccache >/dev/null; then
   CMAKE_ARGS+=(-DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
 fi
@@ -41,7 +43,7 @@ if [[ "$SMOKE" == 1 ]]; then
   # the distiller without burning CI minutes. 64 is the smallest SIMD
   # word tier in bench_parallel.
   BENCH_ARGS+=(--benchmark_filter='/(8|16|1000)$' --benchmark_min_time=0.01)
-  PAR_ARGS+=(--benchmark_filter='/(48|64|2000|10000)$' --benchmark_min_time=0.01
+  PAR_ARGS+=(--benchmark_filter='/(64|10000)$' --benchmark_min_time=0.01
              --benchmark_repetitions=1)
   # The iterations-suffix alternative keeps the pinned-iteration
   # BM_net_saturation/12 tier in the smoke.
@@ -58,7 +60,7 @@ else
   PAR_OUT=BENCH_parallel.json
   SVC_OUT=BENCH_service.json
   LABEL="flat-storage + bitset + SIMD kernels vs frozen scalar references"
-  PAR_LABEL="parallel GAC/join/full-reducer vs serial twins; partitioned vs striped joins"
+  PAR_LABEL="partitioned parallel natural join vs serial NaturalJoin"
   SVC_LABEL="serving layer: hit/miss latency, replay hit rate, overload shed, two-node loopback saturation"
 fi
 
@@ -73,13 +75,14 @@ PAR_RAW=$BUILD_DIR/bench_parallel.raw.json
 SVC_RAW=$BUILD_DIR/bench_service.raw.json
 "$BUILD_DIR/bench/bench_service" "${SVC_ARGS[@]}" > "$SVC_RAW"
 
-python3 bench/distill_bench.py "$RAW" "$PAR_RAW" "$OUT" --label "$LABEL"
+python3 bench/distill_bench.py "$RAW" "$PAR_RAW" "$OUT" --label "$LABEL" \
+  --build-type "$BUILD_TYPE"
 echo "wrote $OUT"
 
 python3 bench/distill_bench.py "$PAR_RAW" "$PAR_OUT" \
-  --label "$PAR_LABEL" --mode parallel
+  --label "$PAR_LABEL" --mode parallel --build-type "$BUILD_TYPE"
 echo "wrote $PAR_OUT"
 
 python3 bench/distill_bench.py "$SVC_RAW" "$SVC_OUT" \
-  --label "$SVC_LABEL" --mode service
+  --label "$SVC_LABEL" --mode service --build-type "$BUILD_TYPE"
 echo "wrote $SVC_OUT"

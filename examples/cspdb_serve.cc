@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -539,19 +540,27 @@ int RunLocalReplay(const Flags& flags) {
   {
     GaugeSampler sampler(&server, &exec::ThreadPool::Global());
 
-    std::vector<std::future<Response>> futures;
-    futures.reserve(stream.size());
-    for (ServiceRequest& request : stream) {
-      futures.push_back(server.Submit(std::move(request)));
-    }
-
-    for (auto& f : futures) {
-      Response r = f.get();
+    // A bounded window of outstanding requests, oldest read first, so
+    // admission control never sheds and the counts repeat run to run.
+    // The service fulfils a future just before it releases that
+    // request's admission slot, so up to one finished request per pool
+    // worker may still hold a slot: the window leaves them room.
+    const std::size_t window = static_cast<std::size_t>(std::max(
+        1, options.max_pending - exec::ThreadPool::Global().num_threads()));
+    std::deque<std::future<Response>> outstanding;
+    auto read_oldest = [&] {
+      Response r = outstanding.front().get();
+      outstanding.pop_front();
       ++by_status[static_cast<int>(r.status)];
       total_latency_ns += r.latency_ns;
       total_queue_wait_ns += r.queue_wait_ns;
       if (r.latency_ns > max_latency_ns) max_latency_ns = r.latency_ns;
+    };
+    for (ServiceRequest& request : stream) {
+      if (outstanding.size() >= window) read_oldest();
+      outstanding.push_back(server.Submit(std::move(request)));
     }
+    while (!outstanding.empty()) read_oldest();
   }  // sampler takes its final quiesced sample here
 
   const ServiceStats stats = server.stats();

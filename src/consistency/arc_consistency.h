@@ -10,7 +10,7 @@
 // (the compact-table idea). A value pruning invalidates whole words of
 // tuples at a time instead of re-scanning the relation row by row.
 // Differential tests pin this implementation to the frozen byte-map
-// reference in consistency/reference_gac.h.
+// reference in reference/reference_gac.h.
 
 #ifndef CSPDB_CONSISTENCY_ARC_CONSISTENCY_H_
 #define CSPDB_CONSISTENCY_ARC_CONSISTENCY_H_

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "csp/instance.h"
-#include "exec/cancellation.h"
 
 namespace cspdb {
 
@@ -21,10 +20,6 @@ namespace cspdb {
 /// concepts apply — CBJ has no propagation or dynamic ordering knobs).
 struct BackjumpOptions {
   int64_t node_limit = -1;  ///< abort after this many nodes; -1 = unlimited
-
-  /// Optional cooperative cancellation, polled every few search nodes.
-  /// A cancelled run reports stats().aborted like a node-limit hit.
-  const exec::CancellationToken* cancel = nullptr;
 };
 
 /// Counters reported by the backjumping search.

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <utility>
 
-#include <numeric>
-
 #include "analysis/validate_csp.h"
 #include "obs/obs.h"
 #include "relational/homomorphism.h"
 #include "util/check.h"
-#include "util/rng.h"
 
 namespace cspdb {
 
@@ -25,12 +22,6 @@ BacktrackingSolver::BacktrackingSolver(const CspInstance& csp,
 void BacktrackingSolver::Reset() {
   stats_ = SolverStats{};
   revision_counts_.assign(csp_.constraints().size(), 0);
-  value_order_.resize(csp_.num_values());
-  std::iota(value_order_.begin(), value_order_.end(), 0);
-  if (options_.value_order_seed != 0) {
-    Rng rng(options_.value_order_seed);
-    rng.Shuffle(&value_order_);
-  }
   active_.assign(csp_.num_variables(), Bitset(csp_.num_values(), true));
   domain_size_.assign(csp_.num_variables(), csp_.num_values());
   assignment_.assign(csp_.num_variables(), kUnassigned);
@@ -257,7 +248,7 @@ bool BacktrackingSolver::Recurse(Callback&& on_solution, bool* stopped) {
     }
     return false;
   }
-  for (int val : value_order_) {
+  for (int val = 0; val < csp_.num_values(); ++val) {
     if (!active_[var].Test(val)) continue;
     if (options_.node_limit >= 0 && stats_.nodes >= options_.node_limit) {
       stats_.aborted = true;
@@ -265,7 +256,7 @@ bool BacktrackingSolver::Recurse(Callback&& on_solution, bool* stopped) {
       return true;
     }
     // Poll cancellation every 64 nodes — cheap enough to leave in the hot
-    // loop, responsive enough for portfolio racing.
+    // loop, responsive enough for a request deadline.
     if (options_.cancel != nullptr && (stats_.nodes & 63) == 0 &&
         options_.cancel->cancelled()) {
       stats_.aborted = true;

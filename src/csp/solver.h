@@ -39,10 +39,6 @@ struct SolverOptions {
   bool mrv = true;  ///< dynamic minimum-remaining-values variable order
   int64_t node_limit = -1;  ///< abort after this many nodes; -1 = unlimited
 
-  /// Seed for a per-run shuffle of the value try order; 0 keeps the
-  /// natural 0..d-1 order. Diversifies the portfolio lineup.
-  uint64_t value_order_seed = 0;
-
   /// Optional cooperative cancellation, polled every few search nodes.
   /// A cancelled run reports stats().aborted like a node-limit hit.
   const exec::CancellationToken* cancel = nullptr;
@@ -103,7 +99,6 @@ class BacktrackingSolver {
   std::vector<int64_t> revision_counts_;  // [constraint] -> revisions
 
   std::vector<Bitset> active_;  // [var] -> packed surviving values
-  std::vector<int> value_order_;  // try order for values (shuffled or id)
   std::vector<int> domain_size_;
   std::vector<int> assignment_;
   std::vector<std::pair<int, int>> trail_;  // pruned (var, val)

@@ -1,14 +1,9 @@
 // Cooperative cancellation for the execution layer. A CancellationToken is
 // a flag (plus an optional wall-clock deadline) that long-running kernels
-// poll at safe points: parallel GAC between revisions, the solvers every
-// few search nodes, the portfolio racer when a rival finishes first.
-// Cancellation is always cooperative — nothing is interrupted mid-write,
-// so cancelled kernels leave behind sound (if incomplete) state.
-//
-// Tokens can be linked into a tree with set_parent(): a child reports
-// cancelled when either its own flag/deadline fires or any ancestor's
-// does. The portfolio solver uses this to merge "a rival finished" with a
-// caller-supplied external deadline.
+// poll at safe points — BacktrackingSolver every few search nodes, which
+// is how the service enforces a request deadline. Cancellation is always
+// cooperative — nothing is interrupted mid-write, so cancelled kernels
+// leave behind sound (if incomplete) state.
 
 #ifndef CSPDB_EXEC_CANCELLATION_H_
 #define CSPDB_EXEC_CANCELLATION_H_
@@ -38,10 +33,6 @@ class CancellationToken {
     deadline_ns_.store(NowNs() + timeout.count(), std::memory_order_relaxed);
   }
 
-  /// Chains this token under `parent` (not owned; must outlive this
-  /// token). Polls consult the whole ancestor chain.
-  void set_parent(const CancellationToken* parent) { parent_ = parent; }
-
   /// True once cancellation was requested or a deadline passed. Latches:
   /// a deadline that fired keeps reporting cancelled even if the clock
   /// could be re-armed.
@@ -52,10 +43,10 @@ class CancellationToken {
       cancelled_.store(true, std::memory_order_relaxed);
       return true;
     }
-    return parent_ != nullptr && parent_->cancelled();
+    return false;
   }
 
-  /// Clears the flag and deadline (not the parent link). Test support.
+  /// Clears the flag and deadline. Test support.
   void Reset() {
     cancelled_.store(false, std::memory_order_relaxed);
     deadline_ns_.store(kNoDeadline, std::memory_order_relaxed);
@@ -72,7 +63,6 @@ class CancellationToken {
 
   mutable std::atomic<bool> cancelled_{false};
   std::atomic<int64_t> deadline_ns_{kNoDeadline};
-  const CancellationToken* parent_ = nullptr;
 };
 
 }  // namespace cspdb::exec

@@ -139,36 +139,6 @@ void ThreadPool::WorkerLoop(int worker_index) {
   }
 }
 
-void ThreadPool::ParallelFor(
-    int64_t begin, int64_t end, int64_t grain,
-    const std::function<void(int64_t, int64_t)>& body) {
-  if (end <= begin) return;
-  if (grain < 1) grain = 1;
-  const int64_t chunks = (end - begin + grain - 1) / grain;
-  if (chunks == 1 || num_threads() <= 1) {
-    body(begin, end);
-    return;
-  }
-  // Workers (and the caller) claim chunk indices from a shared cursor, so
-  // the partition into chunks is fixed but the assignment of chunks to
-  // threads load-balances dynamically.
-  std::atomic<int64_t> next{0};
-  auto drain = [&] {
-    for (int64_t c = next.fetch_add(1, std::memory_order_relaxed);
-         c < chunks; c = next.fetch_add(1, std::memory_order_relaxed)) {
-      const int64_t lo = begin + c * grain;
-      const int64_t hi = lo + grain < end ? lo + grain : end;
-      body(lo, hi);
-    }
-  };
-  const int64_t helpers =
-      std::min<int64_t>(num_threads(), chunks) - 1;
-  TaskGroup group(this);
-  for (int64_t i = 0; i < helpers; ++i) group.Run(drain);
-  drain();
-  group.Wait();
-}
-
 void TaskGroup::Run(std::function<void()> fn) {
   {
     util::MutexLock lock(mu_);

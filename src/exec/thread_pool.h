@@ -1,8 +1,8 @@
 // Fixed-size work-stealing thread pool — the execution substrate behind
-// the parallel GAC, join, and portfolio kernels. Each worker owns a deque:
-// the owner pushes and pops at the back (LIFO, cache-warm), idle workers
-// steal from the front of a victim's deque (FIFO, oldest first), so
-// recursive fan-out (the Yannakakis subtree reducer) load-balances without
+// the service's request handling and the partitioned parallel join. Each
+// worker owns a deque: the owner pushes and pops at the back (LIFO,
+// cache-warm), idle workers steal from the front of a victim's deque
+// (FIFO, oldest first), so nested fork/join fan-out load-balances without
 // a global queue bottleneck.
 //
 // Scheduling primitives:
@@ -11,10 +11,6 @@
 //                             by draining pool tasks, so groups can be
 //                             created and awaited from inside pool tasks
 //                             (nested fork/join) without deadlock.
-//   * ParallelFor(b, e, g)  — blocking data-parallel loop over [b, e) in
-//                             chunks of `grain`; the caller participates,
-//                             so a 1-thread pool degenerates to a plain
-//                             serial loop.
 //
 // Tasks must not throw (the codebase reports failure via CSPDB_CHECK,
 // which aborts). Cooperative cancellation and deadlines are handled above
@@ -46,8 +42,8 @@ class TaskGroup;
 
 /// A fixed-size pool of worker threads with per-worker work-stealing
 /// deques. Construction spawns the workers; destruction drains nothing —
-/// callers are expected to Wait() on their TaskGroups / ParallelFor calls
-/// before dropping the pool (the destructor CHECKs the queues are empty).
+/// callers are expected to Wait() on their TaskGroups before dropping
+/// the pool (the destructor CHECKs the queues are empty).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers. `num_threads <= 0` means one worker
@@ -90,13 +86,6 @@ class ThreadPool {
   /// sampling gauge, not a synchronization primitive: the value is
   /// already stale when returned.
   int64_t queued() const { return queued_.load(std::memory_order_relaxed); }
-
-  /// Runs `body(lo, hi)` over disjoint chunks covering [begin, end), each
-  /// at most `grain` long. Blocks until every chunk completed. The calling
-  /// thread executes chunks too, so this is safe (just serial) on a pool
-  /// with one worker and safe to call from inside a pool task.
-  void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                   const std::function<void(int64_t, int64_t)>& body);
 
  private:
   friend class TaskGroup;

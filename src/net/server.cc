@@ -104,10 +104,24 @@ void NetServer::Shutdown() {
   loop_.Post([this] {
     draining_ = true;
     drain_deadline_ms_ = NowMs() + options_.drain_timeout_ms;
+    // Whatever arrived before the drain began is still served: take the
+    // connections already in the accept backlog and read the bytes
+    // already buffered in each socket before judging which connections
+    // are idle. Closing a socket with unread input resets it instead of
+    // answering the request it carries.
     if (listen_fd_ >= 0) {
+      HandleAccept();
       loop_.RemoveFd(listen_fd_);
       close(listen_fd_);
       listen_fd_ = -1;
+    }
+    std::vector<uint64_t> ids;
+    for (const auto& [id, conn] : conns_) ids.push_back(id);
+    for (uint64_t id : ids) {
+      auto it = conns_.find(id);
+      if (it == conns_.end()) continue;
+      Conn* conn = it->second.get();
+      if (!conn->closing && !conn->paused) ReadInput(conn);
     }
     // Close everything already quiescent; busy connections close as
     // their responses complete and flush (Tick enforces the deadline).
@@ -166,22 +180,26 @@ void NetServer::HandleConnEvent(uint64_t id, uint32_t events) {
     // FlushWrites may close; re-check.
     if (conns_.find(id) == conns_.end()) return;
   }
-  if ((events & EPOLLIN) && !conn->closing) {
-    uint8_t buf[16384];
-    for (;;) {
-      const ssize_t n = recv(conn->fd, buf, sizeof(buf), 0);
-      if (n > 0) {
-        conn->last_activity_ms = NowMs();
-        conn->in.Feed(buf, static_cast<std::size_t>(n));
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      CloseConn(id);  // peer closed or hard error
-      return;
+  if ((events & EPOLLIN) && !conn->closing) ReadInput(conn);
+}
+
+// Drains the socket's buffered bytes into the frame assembler and
+// processes the complete frames. May close the connection.
+void NetServer::ReadInput(Conn* conn) {
+  uint8_t buf[16384];
+  for (;;) {
+    const ssize_t n = recv(conn->fd, buf, sizeof(buf), 0);
+    if (n > 0) {
+      conn->last_activity_ms = NowMs();
+      conn->in.Feed(buf, static_cast<std::size_t>(n));
+      continue;
     }
-    ProcessFrames(conn);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    CloseConn(conn->id);  // peer closed or hard error
+    return;
   }
+  ProcessFrames(conn);
 }
 
 void NetServer::ProcessFrames(Conn* conn) {

@@ -113,6 +113,7 @@ class NetServer {
   // All private methods below run on the loop thread.
   void HandleAccept();
   void HandleConnEvent(uint64_t id, uint32_t events);
+  void ReadInput(Conn* conn);
   void ProcessFrames(Conn* conn);
   void DispatchRequest(Conn* conn, Frame frame);
   void CompleteRequest(uint64_t conn_id, uint64_t request_id,

@@ -2,7 +2,7 @@
 // (modulo renames) as the differential-testing oracle and benchmark
 // baseline; see reference_gac.h.
 
-#include "consistency/reference_gac.h"
+#include "reference/reference_gac.h"
 
 #include <deque>
 

@@ -4,8 +4,8 @@
 // for differential tests and as the "before" side of the
 // BENCH_kernels.json trajectory. Do not optimize this file.
 
-#ifndef CSPDB_CONSISTENCY_REFERENCE_GAC_H_
-#define CSPDB_CONSISTENCY_REFERENCE_GAC_H_
+#ifndef CSPDB_REFERENCE_REFERENCE_GAC_H_
+#define CSPDB_REFERENCE_REFERENCE_GAC_H_
 
 #include <cstdint>
 #include <vector>
@@ -37,4 +37,4 @@ CspInstance ReferenceRestrictToDomains(
 
 }  // namespace cspdb
 
-#endif  // CSPDB_CONSISTENCY_REFERENCE_GAC_H_
+#endif  // CSPDB_REFERENCE_REFERENCE_GAC_H_

@@ -2,7 +2,7 @@
 // at ReferenceRelation (the pre-change storage layout). See
 // reference_join.h.
 
-#include "db/reference_join.h"
+#include "reference/reference_join.h"
 
 #include <algorithm>
 #include <unordered_map>

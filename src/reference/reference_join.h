@@ -5,8 +5,8 @@
 // for differential tests and the "before" side of BENCH_kernels.json.
 // Do not optimize this file.
 
-#ifndef CSPDB_DB_REFERENCE_JOIN_H_
-#define CSPDB_DB_REFERENCE_JOIN_H_
+#ifndef CSPDB_REFERENCE_REFERENCE_JOIN_H_
+#define CSPDB_REFERENCE_REFERENCE_JOIN_H_
 
 #include <cstdint>
 #include <vector>
@@ -66,4 +66,4 @@ ReferenceRelation ReferenceJoinAll(
 
 }  // namespace cspdb
 
-#endif  // CSPDB_DB_REFERENCE_JOIN_H_
+#endif  // CSPDB_REFERENCE_REFERENCE_JOIN_H_

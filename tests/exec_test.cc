@@ -1,11 +1,10 @@
 // The execution substrate: work-stealing thread pool, fork/join task
-// groups, data-parallel loops, and cooperative cancellation tokens.
+// groups, and cooperative cancellation tokens.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -26,59 +25,6 @@ TEST(ThreadPool, RunsSubmittedTasks) {
   EXPECT_EQ(done.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(0, 1000, 7, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      hits[static_cast<std::size_t>(i)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-    }
-  });
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, ParallelForHandlesEmptyAndTinyRanges) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.ParallelFor(5, 5, 1, [&](int64_t, int64_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(3, 4, 10, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) sum.fetch_add(i);
-  });
-  EXPECT_EQ(sum.load(), 3);
-}
-
-TEST(ThreadPool, SingleThreadPoolDegeneratesToSerial) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  // Caller participates, so with one worker the chunks run in order on
-  // the calling thread (no data race on `order`).
-  pool.ParallelFor(0, 10, 3, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) order.push_back(static_cast<int>(i));
-  });
-  ASSERT_EQ(order.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, NestedParallelForInsideTasksDoesNotDeadlock) {
-  ThreadPool pool(3);
-  std::atomic<int64_t> total{0};
-  TaskGroup group(&pool);
-  for (int t = 0; t < 8; ++t) {
-    group.Run([&] {
-      pool.ParallelFor(0, 50, 5, [&](int64_t lo, int64_t hi) {
-        total.fetch_add(hi - lo, std::memory_order_relaxed);
-      });
-    });
-  }
-  group.Wait();
-  EXPECT_EQ(total.load(), 8 * 50);
-}
-
 TEST(ThreadPool, TaskGroupTasksMaySpawnIntoSameGroup) {
   ThreadPool pool(4);
   std::atomic<int> done{0};
@@ -93,11 +39,33 @@ TEST(ThreadPool, TaskGroupTasksMaySpawnIntoSameGroup) {
   EXPECT_EQ(done.load(), 20);
 }
 
+TEST(ThreadPool, NestedTaskGroupsInsideTasksDoNotDeadlock) {
+  // Each task opens and waits on its own group; Wait() helps run pending
+  // pool tasks, so a small pool never blocks with every worker waiting.
+  ThreadPool pool(3);
+  std::atomic<int64_t> total{0};
+  TaskGroup group(&pool);
+  for (int t = 0; t < 8; ++t) {
+    group.Run([&] {
+      TaskGroup inner(&pool);
+      for (int i = 0; i < 10; ++i) {
+        inner.Run([&] { total.fetch_add(5, std::memory_order_relaxed); });
+      }
+      inner.Wait();
+    });
+  }
+  group.Wait();
+  EXPECT_EQ(total.load(), 8 * 50);
+}
+
 TEST(ThreadPool, GlobalPoolExistsAndWorks) {
   std::atomic<int> done{0};
-  ThreadPool::Global().ParallelFor(0, 16, 1, [&](int64_t lo, int64_t hi) {
-    done.fetch_add(static_cast<int>(hi - lo), std::memory_order_relaxed);
-  });
+  {
+    TaskGroup group(&ThreadPool::Global());
+    for (int i = 0; i < 16; ++i) {
+      group.Run([&] { done.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }
   EXPECT_EQ(done.load(), 16);
   EXPECT_GE(ThreadPool::Global().num_threads(), 1);
 }
@@ -120,31 +88,20 @@ TEST(Cancellation, DeadlineFires) {
   EXPECT_TRUE(token.cancelled());
 }
 
-TEST(Cancellation, ParentChainPropagates) {
-  CancellationToken parent;
-  CancellationToken child;
-  child.set_parent(&parent);
-  EXPECT_FALSE(child.cancelled());
-  parent.RequestCancel();
-  EXPECT_TRUE(child.cancelled());
-  EXPECT_TRUE(parent.cancelled());
-  // Child's own flag is independent of the parent's.
-  parent.Reset();
-  EXPECT_FALSE(child.cancelled());
-  child.RequestCancel();
-  EXPECT_TRUE(child.cancelled());
-  EXPECT_FALSE(parent.cancelled());
-}
-
 TEST(Cancellation, TokenStopsPoolWorkCooperatively) {
   ThreadPool pool(4);
   CancellationToken token;
   std::atomic<int64_t> done{0};
   token.RequestCancel();
-  pool.ParallelFor(0, 1000, 10, [&](int64_t lo, int64_t hi) {
-    if (token.cancelled()) return;  // kernels poll at chunk granularity
-    done.fetch_add(hi - lo, std::memory_order_relaxed);
-  });
+  {
+    TaskGroup group(&pool);
+    for (int chunk = 0; chunk < 100; ++chunk) {
+      group.Run([&] {
+        if (token.cancelled()) return;  // kernels poll at chunk granularity
+        done.fetch_add(10, std::memory_order_relaxed);
+      });
+    }
+  }
   EXPECT_EQ(done.load(), 0);
 }
 

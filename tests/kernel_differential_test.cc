@@ -4,11 +4,11 @@
 //
 //   * EnforceGac / EnforceSingletonArcConsistency (bitset domains,
 //     compact-table support masks) vs the byte-map tuple-scanning
-//     kernels in consistency/reference_gac.h — identical consistency
+//     kernels in reference/reference_gac.h — identical consistency
 //     verdicts, identical fixpoint domains, identical pruning counts.
 //   * NaturalJoin / Semijoin / Project / JoinAll on the flat-storage
-//     DbRelation vs the Tuple-per-row kernels in db/reference_join.h —
-//     identical schemas and row sets.
+//     DbRelation vs the Tuple-per-row kernels in
+//     reference/reference_join.h — identical schemas and row sets.
 //
 // Revision counters are deliberately NOT compared: the engines schedule
 // revisions differently, and GAC-fixpoint uniqueness makes the domains
@@ -22,13 +22,13 @@
 #include <gtest/gtest.h>
 
 #include "consistency/arc_consistency.h"
-#include "consistency/reference_gac.h"
 #include "csp/convert.h"
 #include "csp/instance.h"
 #include "db/algebra.h"
-#include "db/reference_join.h"
 #include "db/relation.h"
 #include "gen/generators.h"
+#include "reference/reference_gac.h"
+#include "reference/reference_join.h"
 #include "util/rng.h"
 
 namespace cspdb {

@@ -179,9 +179,12 @@ TEST(ObsConcurrency, PoolWorkersRegisterStableTraceNames) {
   TraceSession& session = TraceSession::Global();
   session.Start(path);
   exec::ThreadPool pool(3);
-  pool.ParallelFor(0, 64, 1, [&session](int64_t, int64_t) {
-    session.Instant("obs_worker.tick");
-  });
+  {
+    exec::TaskGroup group(&pool);
+    for (int i = 0; i < 64; ++i) {
+      group.Run([&session] { session.Instant("obs_worker.tick"); });
+    }
+  }
   session.Stop();
   const std::string trace = ReadFileOrDie(path);
   EXPECT_NE(trace.find("exec.worker."), std::string::npos);
