@@ -203,6 +203,7 @@ void NetServer::ReadInput(Conn* conn) {
 }
 
 void NetServer::ProcessFrames(Conn* conn) {
+  const uint64_t id = conn->id;
   while (!conn->closing &&
          conn->in_flight < options_.max_in_flight_per_connection) {
     Frame frame;
@@ -235,6 +236,9 @@ void NetServer::ProcessFrames(Conn* conn) {
         FailConn(conn, frame.request_id, "unexpected frame type");
         return;
     }
+    // A pong sent while draining, or a bad-request error, may have
+    // closed the connection and freed `conn`.
+    if (conns_.find(id) == conns_.end()) return;
   }
   // Out of the loop with frames possibly still buffered: at the
   // in-flight bound. Stop reading until completions make room.
